@@ -7,11 +7,23 @@ type counts = {
   suspects : int;
 }
 
+(* First-tick table of the message primitives, keyed by value: the hash
+   and equality are {!Message.hash}/{!Message.equal}, both canonical over
+   set-valued payloads. *)
+module Msg_tbl = Hashtbl.Make (struct
+  type t = int * int * Message.t (* process, peer, message *)
+
+  let equal (p, q, m) (p', q', m') = p = p' && q = q' && Message.equal m m'
+  let hash (p, q, m) = Fnv.mix (Fnv.mix (Fnv.mix Fnv.seed p) q) (Message.hash m)
+end)
+
+type messages = {
+  first_sends : int Msg_tbl.t; (* src,dst,msg *)
+  first_recvs : int Msg_tbl.t; (* dst,src,msg *)
+}
+
 type t = {
   run : Run.t;
-  events : (Event.t * int) array array; (* [p] -> chronological *)
-  first_sends : (int * int * string, int) Hashtbl.t; (* src,dst,msg *)
-  first_recvs : (int * int * string, int) Hashtbl.t; (* dst,src,msg *)
   first_dos : (int * int * int, int) Hashtbl.t; (* p,owner,tag *)
   first_inits : (int * int, int) Hashtbl.t; (* owner,tag *)
   initiated : (Action_id.t * int) list;
@@ -20,23 +32,20 @@ type t = {
   decisions : int option array;
   suspicions : (int * Pid.Set.t) array array;
   all_suspicions : (int * Pid.Set.t) array array;
-  gossip : (int * Pid.Set.t) array array;
   gen_reports : (int * Pid.Set.t * int) array array;
   faulty : Pid.Set.t;
   counts : counts;
+  (* sections built on first read; see [force] *)
+  events : (Event.t * int) array array option Atomic.t; (* [p] -> chrono *)
+  messages : messages option Atomic.t;
+  gossip : (int * Pid.Set.t) array array option Atomic.t;
 }
 
-(* Canonical key for a message: [Message.pp] prints set-valued payloads in
-   sorted element order, so messages equal under [Message.equal] map to the
-   same key — the same canonicalization trick as [System.of_runs]. *)
-let msg_key m = Format.asprintf "%a" Message.pp m
-
 let action_key a = (Action_id.owner a, Action_id.tag a)
+let rev_array l = Array.of_list (List.rev l)
 
 let build r =
   let n = Run.n r in
-  let first_sends = Hashtbl.create 64 in
-  let first_recvs = Hashtbl.create 64 in
   let first_dos = Hashtbl.create 16 in
   let first_inits = Hashtbl.create 16 in
   let performers = Hashtbl.create 16 in
@@ -51,33 +60,16 @@ let build r =
   let first tbl key tick =
     if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key tick
   in
-  let events = Array.init n (fun p -> History.timed_array (Run.history r p)) in
   let initiated_rev = ref [] in
   let susp_rev = Array.make n [] in
   let all_susp_rev = Array.make n [] in
-  let gossip_rev = Array.make n [] in
-  let gossip_cur = Array.make n Pid.Set.empty in
   let gen_rev = Array.make n [] in
   for p = 0 to n - 1 do
-    let gossip_grow tick s =
-      let cur' = Pid.Set.union gossip_cur.(p) s in
-      if not (Pid.Set.equal cur' gossip_cur.(p)) then begin
-        gossip_rev.(p) <- (tick, cur') :: gossip_rev.(p);
-        gossip_cur.(p) <- cur'
-      end
-    in
-    Array.iter
-      (fun (e, tick) ->
+    History.iter
+      (fun e ~tick ->
         match e with
-        | Event.Send { dst; msg } ->
-            incr sends;
-            first first_sends (p, dst, msg_key msg) tick
-        | Event.Recv { src; msg } ->
-            incr recvs;
-            first first_recvs (p, src, msg_key msg) tick;
-            (match msg with
-            | Message.Gossip s -> gossip_grow tick s
-            | _ -> ())
+        | Event.Send _ -> incr sends
+        | Event.Recv _ -> incr recvs
         | Event.Do a ->
             incr dos;
             let key = action_key a in
@@ -97,35 +89,28 @@ let build r =
             action_set := Action_id.Set.add a !action_set;
             initiated_rev := (a, tick) :: !initiated_rev
         | Event.Crash -> incr crashes
-        | Event.Suspect rep ->
+        | Event.Suspect rep -> (
             incr suspects;
             let s = Report.suspects_in ~n rep in
             all_susp_rev.(p) <- (tick, s) :: all_susp_rev.(p);
-            (match rep with
+            match rep with
             | Report.Gen (gs, k) -> gen_rev.(p) <- (tick, gs, k) :: gen_rev.(p)
-            | Report.Std std ->
-                susp_rev.(p) <- (tick, s) :: susp_rev.(p);
-                gossip_grow tick std
-            | Report.Correct_set _ -> susp_rev.(p) <- (tick, s) :: susp_rev.(p)))
-      events.(p)
+            | Report.Std _ | Report.Correct_set _ ->
+                susp_rev.(p) <- (tick, s) :: susp_rev.(p)))
+      (Run.history r p)
   done;
   Hashtbl.filter_map_inplace (fun _ ps -> Some (List.rev ps)) performers;
   {
     run = r;
-    events;
-    first_sends;
-    first_recvs;
     first_dos;
     first_inits;
     initiated = List.rev !initiated_rev;
     all_actions = Action_id.Set.elements !action_set;
     performers;
     decisions;
-    suspicions = Array.map (fun l -> Array.of_list (List.rev l)) susp_rev;
-    all_suspicions =
-      Array.map (fun l -> Array.of_list (List.rev l)) all_susp_rev;
-    gossip = Array.map (fun l -> Array.of_list (List.rev l)) gossip_rev;
-    gen_reports = Array.map (fun l -> Array.of_list (List.rev l)) gen_rev;
+    suspicions = Array.map rev_array susp_rev;
+    all_suspicions = Array.map rev_array all_susp_rev;
+    gen_reports = Array.map rev_array gen_rev;
     faulty = Run.faulty r;
     counts =
       {
@@ -136,7 +121,64 @@ let build r =
         crashes = !crashes;
         suspects = !suspects;
       };
+    events = Atomic.make None;
+    messages = Atomic.make None;
+    gossip = Atomic.make None;
   }
+
+let build_events r =
+  Array.init (Run.n r) (fun p -> History.timed_array (Run.history r p))
+
+let build_messages r =
+  let first_sends = Msg_tbl.create 64 in
+  let first_recvs = Msg_tbl.create 64 in
+  let first tbl key tick =
+    if not (Msg_tbl.mem tbl key) then Msg_tbl.add tbl key tick
+  in
+  for p = 0 to Run.n r - 1 do
+    History.iter
+      (fun e ~tick ->
+        match e with
+        | Event.Send { dst; msg } -> first first_sends (p, dst, msg) tick
+        | Event.Recv { src; msg } -> first first_recvs (p, src, msg) tick
+        | _ -> ())
+      (Run.history r p)
+  done;
+  { first_sends; first_recvs }
+
+(* Prop 2.1's derived timeline: own standard reports plus suspicions heard
+   in [Gossip] messages, accumulated; a change point whenever the union
+   grows. *)
+let build_gossip r =
+  Array.init (Run.n r) (fun p ->
+      let cur = ref Pid.Set.empty and changes = ref [] in
+      let grow tick s =
+        let cur' = Pid.Set.union !cur s in
+        if not (Pid.Set.equal cur' !cur) then begin
+          changes := (tick, cur') :: !changes;
+          cur := cur'
+        end
+      in
+      History.iter
+        (fun e ~tick ->
+          match e with
+          | Event.Recv { msg = Message.Gossip s; _ }
+          | Event.Suspect (Report.Std s) ->
+              grow tick s
+          | _ -> ())
+        (Run.history r p);
+      rev_array !changes)
+
+(* Sections are built outside any lock and published with a CAS: two
+   domains forcing the same section may both build it, and the loser's
+   copy is dropped — the same discipline as [of_run]'s cache. *)
+let force cell build t =
+  match Atomic.get cell with
+  | Some v -> v
+  | None ->
+      let v = build t.run in
+      if Atomic.compare_and_set cell None (Some v) then v
+      else Option.get (Atomic.get cell)
 
 (* One index per run: memoized on the run's physical identity, weakly (the
    cache entry dies with the run), behind a mutex so that the parallel
@@ -172,13 +214,15 @@ let of_run r =
 let run t = t.run
 let n t = Run.n t.run
 let horizon t = Run.horizon t.run
-let events t p = t.events.(p)
+let events t p = (force t.events build_events t).(p)
 
 let first_send t ~src ~dst msg =
-  Hashtbl.find_opt t.first_sends (src, dst, msg_key msg)
+  Msg_tbl.find_opt (force t.messages build_messages t).first_sends
+    (src, dst, msg)
 
 let first_recv t ~dst ~src msg =
-  Hashtbl.find_opt t.first_recvs (dst, src, msg_key msg)
+  Msg_tbl.find_opt (force t.messages build_messages t).first_recvs
+    (dst, src, msg)
 
 let crash_tick t p = Run.crash_tick t.run p
 let first_do t p a = Hashtbl.find_opt t.first_dos (p, Action_id.owner a, Action_id.tag a)
@@ -194,7 +238,7 @@ let performers t a =
 let decision t p = t.decisions.(p)
 let suspicions t p = t.suspicions.(p)
 let all_suspicions t p = t.all_suspicions.(p)
-let gossip_suspicions t p = t.gossip.(p)
+let gossip_suspicions t p = (force t.gossip build_gossip t).(p)
 let gen_reports t p = t.gen_reports.(p)
 
 let suspects_at changes m =

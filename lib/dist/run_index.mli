@@ -6,21 +6,33 @@
     asks the same handful of questions of a run: "when did this event first
     happen", "what was the suspicion set at tick m", "which actions exist".
     Answering them off the raw [History.timed_events] lists re-walks the
-    whole run at every call site. This module computes, once per run, the
-    tables those questions read in O(1)/O(log) time:
+    whole run at every call site. This module answers them from tables read
+    in O(1)/O(log) time.
 
-    - per-process chronological event arrays with ticks;
-    - first-tick tables for each primitive ([Sent]/[Received]/[Crashed]/
-      [Did]/[Inited]);
-    - per-watcher suspicion timelines as sorted change-lists (both the raw
-      detector timeline and the derived gossip timeline of Prop 2.1), and
-      generalized [(S,k)] report lists;
-    - the action inventory (initiated, performed, decisions) and event
-      counts.
+    The eager core is built by {!of_run} in one pass over the histories:
+
+    - first-tick tables for [Did] and [Inited];
+    - the action inventory (initiated, all actions, performers),
+      decisions, event counts and the faulty set;
+    - per-watcher suspicion change-lists (the raw detector timeline and
+      the one with [Gen] reports folded in) and generalized [(S,k)] report
+      lists.
+
+    Three sections are built on first read, since most checks never touch
+    them:
+
+    - the per-process chronological event arrays ({!events});
+    - the first-tick tables of [Sent]/[Received] ({!first_send},
+      {!first_recv}), keyed by message value through {!Message.equal} and
+      {!Message.hash}, so equal set payloads built in different orders
+      find the same entry;
+    - the Prop 2.1 gossip timeline ({!gossip_suspicions}).
 
     Indexes are memoized per run (keyed by physical identity, weakly, so
-    they die with the run) and safe to build and read from multiple
-    domains: the parallel ensemble engine indexes runs concurrently. *)
+    they die with the run). Building, reading and forcing sections are
+    safe from multiple domains: the parallel ensemble engine indexes runs
+    concurrently, and two domains forcing one section at once both get the
+    same published copy. *)
 
 type t
 

@@ -170,10 +170,11 @@ let audit ~n ~degree run =
   let false_late = Hashtbl.create 16 in
   let completeness = ref true in
   let latencies = ref [] in
+  let idx = Run_index.of_run run in
   for p = 0 to n - 1 do
-    let timeline = Detector.Spec.event_timeline run p in
-    if timeline <> [] then begin
-      List.iter
+    let timeline = Run_index.suspicions idx p in
+    if Array.length timeline > 0 then begin
+      Array.iter
         (fun (t, set) ->
           Pid.Set.iter
             (fun q ->
@@ -197,7 +198,7 @@ let audit ~n ~degree run =
                    horizon *)
                 let detect = ref None in
                 let member = ref false in
-                List.iter
+                Array.iter
                   (fun (t, set) ->
                     let m = Pid.Set.mem q set in
                     (if !detect = None && t >= ct then
