@@ -22,9 +22,10 @@ let transform env ~run:ri ~report =
     let alive_at m =
       match crash_tick with None -> true | Some tc -> tc > m
     in
-    (* a linear build: O(1)-amortized Builder appends, not the
-       copy-per-append functional [History.append] *)
-    let b = History.Builder.fresh () in
+    (* a linear build: O(1) Builder appends, not the copy-per-append
+       functional [History.append]; at most one report per tick of [r]
+       plus the original events, so the buffers never grow *)
+    let b = History.Builder.fresh ~capacity:(horizon + 1 + len) () in
     let cursor = ref 0 in
     for m = 0 to horizon do
       (* odd tick 2m+1: constructed report, while alive at m *)

@@ -17,6 +17,11 @@ type env = {
   memo : (int, table) Hashtbl.t; (* interned formula id -> table *)
   class_masks : masks option array; (* per pid, built lazily *)
   dk_masks : (int list, masks) Hashtbl.t; (* joint classes per group *)
+  crash_rows : table array option array;
+      (* per pid p: the memo's own [K_p crash(q)] tables, one per q *)
+  count_rows : (int * int list, table option array) Hashtbl.t;
+      (* (p, elements of S) -> the memo's [K_p At_least_crashed(S, k)]
+         tables by k, each filled when a scan first reaches it *)
   lock : Mutex.t;
       (* guards every mutable field: the parallel ensemble engine
          evaluates formulas against a shared env from several domains *)
@@ -28,6 +33,8 @@ let make sys =
     memo = Hashtbl.create 64;
     class_masks = Array.make (System.n sys) None;
     dk_masks = Hashtbl.create 8;
+    crash_rows = Array.make (System.n sys) None;
+    count_rows = Hashtbl.create 16;
     lock = Mutex.create ();
   }
 
@@ -209,9 +216,58 @@ and compute env = function
       fix (blank env true)
   | Formula.Dk (s, f) -> aggregate env (dk_class_masks env s) (table env f)
 
+(* Rows for the f/f'-constructions' per-point queries: references to
+   memoized tables, so a query is a few bit reads, not a formula built
+   and interned per point. Each row entry interns its formula once, when
+   it is filled. Called with the lock held. *)
+let crash_row env p =
+  match env.crash_rows.(p) with
+  | Some row -> row
+  | None ->
+      let row =
+        Array.init (System.n env.sys) (fun q ->
+            table env (Formula.intern (Formula.K (p, Formula.crashed q))))
+      in
+      env.crash_rows.(p) <- Some row;
+      row
+
+(* Largest [k] with [K_p At_least_crashed(S, k)] at the point. The scan
+   goes down from [|S|] and stops at the first known [k], so it memoizes
+   the same [k] tables as querying each formula in turn would. *)
+let known_count env p s ~run ~tick =
+  let key = (p, Pid.Set.elements s) in
+  let row =
+    match Hashtbl.find_opt env.count_rows key with
+    | Some row -> row
+    | None ->
+        let row = Array.make (Pid.Set.cardinal s + 1) None in
+        Hashtbl.add env.count_rows key row;
+        row
+  in
+  let rec down k =
+    if k <= 0 then 0
+    else
+      let t =
+        match row.(k) with
+        | Some t -> t
+        | None ->
+            let t =
+              table env
+                (Formula.intern
+                   (Formula.K
+                      (p, Formula.Prim (Formula.At_least_crashed (s, k)))))
+            in
+            row.(k) <- Some t;
+            t
+      in
+      if Bitvec.get t.(run) tick then k else down (k - 1)
+  in
+  down (Array.length row - 1)
+
 (* Shadow the recursive evaluator with the locked entry point: every
-   public query interns its formula and takes the lock exactly once (no
-   reentrancy — [compute] recurses on the unlocked binding above). *)
+   public formula query interns its formula and takes the lock exactly
+   once (no reentrancy — [compute] and the row fills above recurse on the
+   unlocked binding). *)
 let table env f =
   let f = Formula.intern f in
   Mutex.protect env.lock (fun () -> table env f)
@@ -243,26 +299,18 @@ let table_digest env f =
   Digest.to_hex
     (Digest.string (Marshal.to_string (Array.map Bitvec.to_int_array t) []))
 
+(* [q] is added in ascending order, so the set has the same tree shape
+   as a fold over [Pid.all] — f-run digests marshal it. *)
 let knows_crashed env p ~run ~tick =
-  List.fold_left
-    (fun acc q ->
-      if holds env (Formula.K (p, Formula.crashed q)) ~run ~tick then
-        Pid.Set.add q acc
-      else acc)
-    Pid.Set.empty
-    (Pid.all (System.n env.sys))
+  let row = Mutex.protect env.lock (fun () -> crash_row env p) in
+  let s = ref Pid.Set.empty in
+  Array.iteri
+    (fun q t -> if Bitvec.get t.(run) tick then s := Pid.Set.add q !s)
+    row;
+  !s
 
 let max_known_crashed env p s ~run ~tick =
-  let rec down k =
-    if k <= 0 then 0
-    else if
-      holds env
-        (Formula.K (p, Formula.Prim (Formula.At_least_crashed (s, k))))
-        ~run ~tick
-    then k
-    else down (k - 1)
-  in
-  down (Pid.Set.cardinal s)
+  Mutex.protect env.lock (fun () -> known_count env p s ~run ~tick)
 
 let local_to env f p =
   valid env (Formula.Or (Formula.K (p, f), Formula.K (p, Formula.Not f)))

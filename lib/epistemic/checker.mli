@@ -32,12 +32,17 @@ val counterexample : env -> Formula.t -> (int * int) option
 
 (** [knows_crashed env p ~run ~tick] is [{q : (R,r,m) |= K_p crash(q)}] —
     the suspicion set of the simulated perfect failure detector (condition
-    P3 of the f-construction, Section 3). *)
+    P3 of the f-construction, Section 3). It reads a cached row of the
+    memoized [K_p crash(q)] tables (built on [p]'s first query), so no
+    formula is built or interned per point. The set is built by adding
+    [q] in ascending order, as a fold over {!Pid.all} would. *)
 val knows_crashed : env -> Pid.t -> run:int -> tick:int -> Pid.Set.t
 
 (** [max_known_crashed env p s ~run ~tick] is the largest [k] such that
     [(R,r,m) |= K_p ("at least k processes in s have crashed")] — condition
-    P3' of the f'-construction (Section 4). *)
+    P3' of the f'-construction (Section 4). It reads a cached row of the
+    memoized [K_p At_least_crashed(s, k)] tables, keyed by [p] and [s];
+    each [k] entry is filled when the downward scan first reaches it. *)
 val max_known_crashed : env -> Pid.t -> Pid.Set.t -> run:int -> tick:int -> int
 
 (** [local_to env phi p]: [p] always knows whether [phi] holds

@@ -8,13 +8,13 @@ let alpha0 = Action_id.make ~owner:0 ~tag:0
 
 (* A small exhaustively-enumerated system: nUDC flood on 3 processes, one
    possible crash, perfect report points. *)
-let enumerated =
+let enumerate_flood ~max_crashes =
   lazy
     (let cfg = Enumerate.config ~n:3 ~depth:7 in
      let cfg =
        {
          cfg with
-         Enumerate.max_crashes = 1;
+         Enumerate.max_crashes;
          init_plan = Init_plan.one ~owner:0 ~at:1;
          oracle_mode = Enumerate.Perfect_reports;
        }
@@ -23,6 +23,12 @@ let enumerated =
      Alcotest.(check bool) "exhaustive" true out.Enumerate.exhaustive;
      let sys = System.of_runs out.Enumerate.runs in
      Checker.make sys)
+
+let enumerated = enumerate_flood ~max_crashes:1
+
+(* The same flood with up to two crashes: a process can know of two, so
+   report sets of two elements test tree shapes. *)
+let two_crashes = enumerate_flood ~max_crashes:2
 
 let check_valid env what f =
   match Checker.counterexample env f with
@@ -174,26 +180,133 @@ let suspicion_is_knowledge_under_perfect_reports () =
         pids)
     pids
 
-(* knows_crashed agrees with the formula-level definition. *)
-let knows_crashed_consistent () =
-  let env = Lazy.force enumerated in
+(* The definitions the checker's cached rows must reproduce: the fold over
+   [Pid.all] that adds each known-crashed [q] in ascending order, and the
+   descending scan for the largest known [k]. *)
+let knows_crashed_by_holds env p ~run ~tick =
+  List.fold_left
+    (fun acc q ->
+      if Checker.holds env (Formula.knows p (Formula.crashed q)) ~run ~tick
+      then Pid.Set.add q acc
+      else acc)
+    Pid.Set.empty pids
+
+let max_known_crashed_by_holds env p s ~run ~tick =
+  let rec down k =
+    if k <= 0 then 0
+    else if
+      Checker.holds env
+        (Formula.knows p (Formula.Prim (Formula.At_least_crashed (s, k))))
+        ~run ~tick
+    then k
+    else down (k - 1)
+  in
+  down (Pid.Set.cardinal s)
+
+let subsets = List.init 8 (Core.Simulate_fd.subset_of_index ~n:3)
+
+let iter_points env f =
   let sys = Checker.system env in
-  for ri = 0 to min 40 (System.run_count sys - 1) do
-    let h = System.horizon sys ri in
-    List.iter
-      (fun p ->
-        let s = Checker.knows_crashed env p ~run:ri ~tick:h in
-        List.iter
-          (fun q ->
-            Alcotest.(check bool)
-              (Printf.sprintf "knows_crashed p%d q%d run%d" p q ri)
-              (Pid.Set.mem q s)
-              (Checker.holds env
-                 (Formula.knows p (Formula.crashed q))
-                 ~run:ri ~tick:h))
-          pids)
-      pids
+  for ri = 0 to System.run_count sys - 1 do
+    for tick = 0 to System.horizon sys ri do
+      f ~run:ri ~tick
+    done
   done
+
+(* knows_crashed and max_known_crashed agree with the formula-level
+   definitions at every point. The report sets must be equal as trees
+   ([Stdlib.(=)]), not only as sets: f-run digests marshal them. *)
+let knows_crashed_consistent () =
+  List.iter
+    (fun system ->
+      let env = Lazy.force system in
+      iter_points env (fun ~run ~tick ->
+          List.iter
+            (fun p ->
+              let expected = knows_crashed_by_holds env p ~run ~tick in
+              let got = Checker.knows_crashed env p ~run ~tick in
+              if not (Stdlib.( = ) got expected) then
+                Alcotest.failf
+                  "knows_crashed p%d run%d tick%d: %s, expected %s" p run tick
+                  (Pid.Set.to_string got)
+                  (Pid.Set.to_string expected);
+              List.iter
+                (fun s ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "max_known_crashed p%d %s run%d tick%d" p
+                       (Pid.Set.to_string s) run tick)
+                    (max_known_crashed_by_holds env p s ~run ~tick)
+                    (Checker.max_known_crashed env p s ~run ~tick))
+                subsets)
+            pids))
+    [ enumerated; two_crashes ]
+
+(* max_known_crashed fills a row's [k] entries as its downward scan
+   reaches them, so it memoizes what the formula-by-formula scan does: at
+   a point where [p] knows of two crashes, [k = 1] is never evaluated. *)
+let known_count_memo () =
+  let env = Lazy.force two_crashes in
+  let full = Pid.Set.full 3 in
+  let found = ref None in
+  iter_points env (fun ~run ~tick ->
+      List.iter
+        (fun p ->
+          if
+            !found = None
+            && Checker.max_known_crashed env p full ~run ~tick = 2
+          then found := Some (run, tick, p))
+        pids);
+  match !found with
+  | None -> Alcotest.fail "no point where a process knows of two crashes"
+  | Some (run, tick, p) ->
+      let rows = Checker.make (Checker.system env) in
+      let formulas = Checker.make (Checker.system env) in
+      Alcotest.(check int) "rows" 2
+        (Checker.max_known_crashed rows p full ~run ~tick);
+      Alcotest.(check int) "formulas" 2
+        (max_known_crashed_by_holds formulas p full ~run ~tick);
+      Alcotest.(check int) "memo entries"
+        (Checker.memo_entries formulas)
+        (Checker.memo_entries rows)
+
+(* Two domains fill the rows of one fresh env at once. Each must answer
+   what the formula-level definitions answer on a sequential env, and the
+   shared memo must end with exactly the sequential env's tables. *)
+let knows_crashed_domain_safe () =
+  let sys = Checker.system (Lazy.force two_crashes) in
+  let answers env ~known ~count order =
+    let out = ref [] in
+    iter_points env (fun ~run ~tick ->
+        List.iter
+          (fun p ->
+            let counts = List.map (fun s -> count env p s ~run ~tick) subsets in
+            out := (p, run, tick, known env p ~run ~tick, counts) :: !out)
+          order);
+    List.sort Stdlib.compare !out
+  in
+  let sequential = Checker.make sys in
+  let expected =
+    answers sequential ~known:knows_crashed_by_holds
+      ~count:max_known_crashed_by_holds pids
+  in
+  let shared = Checker.make sys in
+  let ready = Atomic.make 0 in
+  let spawn order =
+    Domain.spawn (fun () ->
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        answers shared ~known:Checker.knows_crashed
+          ~count:Checker.max_known_crashed order)
+  in
+  let d1 = spawn pids and d2 = spawn (List.rev pids) in
+  let a1 = Domain.join d1 and a2 = Domain.join d2 in
+  Alcotest.(check bool) "domain 1 = sequential" true (Stdlib.( = ) a1 expected);
+  Alcotest.(check bool) "domain 2 = sequential" true (Stdlib.( = ) a2 expected);
+  Alcotest.(check int) "memo entries"
+    (Checker.memo_entries sequential)
+    (Checker.memo_entries shared)
 
 (* max_known_crashed is monotone in the subset and bounded by the truth. *)
 let max_known_crashed_sane () =
@@ -234,4 +347,8 @@ let suite =
       knows_crashed_consistent;
     Alcotest.test_case "max_known_crashed sanity" `Quick
       max_known_crashed_sane;
+    Alcotest.test_case "max_known_crashed memoizes only scanned k" `Quick
+      known_count_memo;
+    Alcotest.test_case "knows_crashed rows domain-safe" `Quick
+      knows_crashed_domain_safe;
   ]

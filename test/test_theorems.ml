@@ -211,6 +211,34 @@ let thm_4_3 () =
     (Printf.sprintf "nonvacuous (%d runs checked)" !checked)
     true (!checked > 0)
 
+(* The f- and f'-constructions are pinned run by run: each pin hashes
+   together the [Run.digest] of the construction applied to every run of
+   the Theorem 3.6 system, so any change to a report's content, to the
+   tree shape of its [Pid.Set] (the digest marshals it) or to the
+   event/tick layout shows up here. *)
+let constructions_pinned () =
+  let env = Lazy.force udc_env in
+  let sys = Epistemic.Checker.system env in
+  let pin build =
+    Digest.to_hex
+      (Digest.string
+         (String.concat ","
+            (List.init (Epistemic.System.run_count sys) (fun ri ->
+                 Run.digest (build ~run:ri)))))
+  in
+  List.iter
+    (fun (what, expected, build) ->
+      Alcotest.(check string) what expected (pin build))
+    [
+      ("f-runs", "1a727189f3a6690c757ccaef7f768c77", Core.Simulate_fd.f_run env);
+      ( "f'-runs, round robin",
+        "3a46bff0835dd3b1f1f7fa41494c175a",
+        Core.Simulate_fd.f'_run ~schedule:`Round_robin env );
+      ( "f'-runs, history length",
+        "f60d0bb4455c720624d76359ff56cc83",
+        Core.Simulate_fd.f'_run ~schedule:`History_length env );
+    ]
+
 (* The paper's subset indexing for f'. *)
 let subset_of_index () =
   Alcotest.(check bool)
@@ -237,5 +265,6 @@ let suite =
     Alcotest.test_case "Thm 3.6: f-runs complete on discharged runs" `Slow
       thm_3_6_completeness;
     Alcotest.test_case "Thm 4.3: f'-runs t-useful" `Slow thm_4_3;
+    Alcotest.test_case "f/f'-run digests pinned" `Slow constructions_pinned;
     Alcotest.test_case "subset indexing" `Quick subset_of_index;
   ]
